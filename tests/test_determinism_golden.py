@@ -262,3 +262,26 @@ def test_table1_table_digest():
 
     result = resolve_experiment("table1").run(scale=current_scale("quick"))
     _check("table1-table", result.render())
+
+
+#: Reduced quick-scale grids for the registry-rendered experiment tables.
+_REGISTRY_TABLE_PARAMS = {
+    "figure1": {},
+    "figure4b": {"loss": [0.05], "connectivity": [2, 4], "trials": [3]},
+    "figure5a": {"crash": [0.01], "connectivity": [2, 4], "n": 10, "trials": [2]},
+    "figure5b": {"loss": [0.03], "connectivity": [2, 4], "n": 10, "trials": [2]},
+    "figure6": {"size": [10], "topology": ["ring", "tree"], "trials": [2]},
+    "heterogeneous": {"connectivity": [2, 4], "trials": [3]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY_TABLE_PARAMS))
+def test_registry_table_digest(name):
+    """Each experiment's registry-rendered table stays byte-identical."""
+    from repro.experiments.registry import resolve_experiment
+    from repro.experiments.runner import current_scale
+
+    result = resolve_experiment(name).run(
+        scale=current_scale("quick"), params=_REGISTRY_TABLE_PARAMS[name]
+    )
+    _check(f"{name}-table", result.render())
