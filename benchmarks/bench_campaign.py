@@ -1,7 +1,7 @@
 """Campaign runner — parallel fan-out and cache-hit fast path.
 
 Benchmarks the campaign subsystem on the Figure 4(b) workload: a
-multi-worker campaign must produce the exact table the serial builder
+multi-worker campaign must produce the exact table the serial backend
 does (asserted, not assumed), and a warm cache must make regeneration
 nearly free.  At ``full`` scale the parallel run is where the paper-
 sized sweep (n=100, 10 connectivities, 200 calibration trials per
@@ -11,18 +11,16 @@ point) stops being an overnight job.
 import os
 
 from repro.experiments.campaign import Campaign
-from repro.experiments.figure4 import figure4_table
-from repro.experiments.runner import scaled
-from repro.util.cache import TrialCache
+from repro.experiments.registry import resolve_experiment
 
 
-def _tuned(scale):
-    """Trim the sweep at non-full scales to keep the bench brisk."""
-    if scale.name == "full":
-        return scale
-    return scaled(
-        scale,
-        connectivities=tuple(k for k in scale.connectivities if k <= 8),
+def _figure4b(scale, campaign):
+    """Figure 4(b) at L=0.05, trimmed at non-full scales to stay brisk."""
+    params = {"loss": [0.05]}
+    if scale.name != "full":
+        params["connectivity"] = [k for k in scale.connectivities if k <= 8]
+    return resolve_experiment("figure4b").run(
+        scale=scale, params=params, campaign=campaign
     )
 
 
@@ -31,11 +29,9 @@ def test_campaign_parallel_figure4(benchmark, record, scale):
     campaigns = []
 
     def run():
-        campaign = Campaign(workers=workers)
+        campaign = Campaign(backend=f"process:{workers}")
         campaigns.append(campaign)
-        return figure4_table(
-            variant="loss", scale=_tuned(scale), values=(0.05,), campaign=campaign
-        )
+        return _figure4b(scale, campaign)
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
     record(
@@ -44,25 +40,23 @@ def test_campaign_parallel_figure4(benchmark, record, scale):
         table,
         notes=f"{campaigns[-1].executed} trials executed across {workers} workers",
     )
-    # parallel execution must be bit-identical to the serial builder
-    serial = figure4_table(variant="loss", scale=_tuned(scale), values=(0.05,))
+    # parallel execution must be bit-identical to the serial backend
+    serial = _figure4b(scale, Campaign(backend="serial"))
     assert table.render() == serial.render()
 
 
 def test_campaign_cache_hit(benchmark, record, scale, tmp_path):
-    cache = TrialCache(str(tmp_path))
-    warm = Campaign(cache=cache)
-    figure4_table(variant="loss", scale=_tuned(scale), values=(0.05,), campaign=warm)
+    backend = f"serial+cache={tmp_path}"
+    warm = Campaign(backend=backend)
+    _figure4b(scale, warm)
     assert warm.executed > 0
 
     campaigns = []
 
     def rerun():
-        campaign = Campaign(cache=cache)
+        campaign = Campaign(backend=backend)
         campaigns.append(campaign)
-        return figure4_table(
-            variant="loss", scale=_tuned(scale), values=(0.05,), campaign=campaign
-        )
+        return _figure4b(scale, campaign)
 
     table = benchmark.pedantic(rerun, rounds=1, iterations=1)
     record(

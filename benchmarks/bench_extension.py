@@ -12,7 +12,7 @@
 
 from repro.core.bayesian import BeliefEstimator
 from repro.core.refinement import AdaptiveResolutionEstimator
-from repro.experiments.heterogeneous import heterogeneity_table
+from repro.experiments.registry import resolve_experiment
 from repro.experiments.runner import QUICK, scaled
 from repro.util.rng import RandomSource
 from repro.util.tables import Series, SeriesTable
@@ -22,7 +22,9 @@ SCALE = scaled(QUICK, n=20, trials=10, calibration_trials=30, k_target=0.95)
 
 def test_heterogeneous_environments(benchmark, record):
     table = benchmark.pedantic(
-        lambda: heterogeneity_table(scale=SCALE, mean_loss=0.05),
+        lambda: resolve_experiment("heterogeneous").run(
+            scale=SCALE, params={"loss": 0.05}
+        ),
         rounds=1,
         iterations=1,
     )
@@ -33,8 +35,9 @@ def test_heterogeneous_environments(benchmark, record):
         notes="Section 7 prediction: the heterogeneous ratio should exceed "
         "the uniform one at matching connectivity",
     )
-    uniform = table.series[0].as_dict()
-    hetero = table.series[1].as_dict()
+    connectivity = table.column(table.columns[0])
+    uniform = dict(zip(connectivity, table.column("ratio (uniform L)")))
+    hetero = dict(zip(connectivity, table.column("ratio (heterogeneous L)")))
     # at the densest measured connectivity the adaptive gain should be at
     # least as large in the heterogeneous environment
     densest = max(uniform)

@@ -7,12 +7,12 @@ alpha in [1, 10] and benchmarks the closed-form computation.
 import pytest
 
 from repro.analysis.two_paths import simulate_two_paths
-from repro.experiments.figure1 import figure1_table
+from repro.experiments.registry import resolve_experiment
 from repro.util.rng import RandomSource
 
 
 def test_figure1_regeneration(benchmark, record):
-    table = benchmark(figure1_table)
+    table = benchmark(resolve_experiment("figure1").run)
     record(
         "Figure 1",
         "two-path adaptive/gossip message ratio k1/k0 vs alpha",
@@ -22,8 +22,8 @@ def test_figure1_regeneration(benchmark, record):
             "paper anchors: ratio 1.0 at alpha=1, ~0.875 at alpha=10/L=1e-4"
         ),
     )
-    l4 = next(s for s in table.series if s.name == "L=0.0001")
-    assert l4.as_dict()[10.0] == pytest.approx(0.875, abs=1e-3)
+    l4 = dict(zip(table.column("alpha"), table.column("L=0.0001")))
+    assert l4[10.0] == pytest.approx(0.875, abs=1e-3)
 
 
 def test_figure1_monte_carlo_crosscheck(benchmark):

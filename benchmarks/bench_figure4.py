@@ -12,23 +12,28 @@ growth with connectivity and the ordering across P/L values hold.
 """
 
 
-from repro.experiments.figure4 import figure4_table
-from repro.experiments.runner import scaled
+from repro.experiments.registry import resolve_experiment
 
 
-def _tuned(scale):
-    """Trim the sweep at non-full scales to keep the bench brisk."""
-    if scale.name == "full":
-        return scale
-    return scaled(
-        scale,
-        connectivities=tuple(k for k in scale.connectivities if k <= 16),
-    )
+def _run(name, scale):
+    """Run one panel, trimming the sweep at non-full scales."""
+    params = {}
+    if scale.name != "full":
+        params["connectivity"] = [k for k in scale.connectivities if k <= 16]
+    return resolve_experiment(name).run(scale=scale, params=params)
+
+
+def _curves(table):
+    """Each curve's measured ratios (gaps dropped), in column order."""
+    return [
+        [y for y in table.column(name) if y is not None]
+        for name in table.columns[1:]
+    ]
 
 
 def test_figure4a_crash_variant(benchmark, record, scale):
     table = benchmark.pedantic(
-        lambda: figure4_table(variant="crash", scale=_tuned(scale)),
+        lambda: _run("figure4a", scale),
         rounds=1,
         iterations=1,
     )
@@ -38,8 +43,7 @@ def test_figure4a_crash_variant(benchmark, record, scale):
         table,
         notes="paper: ratio ~4 at connectivity 16 with P=0.03 (n=100)",
     )
-    for series in table.series:
-        ys = [y for y in series.ys if y is not None]
+    for ys in _curves(table):
         assert all(y > 0 for y in ys)
         # the reference algorithm never beats the optimal one
         assert max(ys) >= 1.0
@@ -47,7 +51,7 @@ def test_figure4a_crash_variant(benchmark, record, scale):
 
 def test_figure4b_loss_variant(benchmark, record, scale):
     table = benchmark.pedantic(
-        lambda: figure4_table(variant="loss", scale=_tuned(scale)),
+        lambda: _run("figure4b", scale),
         rounds=1,
         iterations=1,
     )
@@ -58,7 +62,6 @@ def test_figure4b_loss_variant(benchmark, record, scale):
     )
     # growth with connectivity: the densest point should dominate the
     # sparsest for every curve (the paper's headline trend)
-    for series in table.series:
-        ys = [y for y in series.ys if y is not None]
+    for ys in _curves(table):
         if len(ys) >= 2:
             assert ys[-1] >= ys[0]

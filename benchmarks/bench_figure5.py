@@ -11,8 +11,7 @@ slowest (links are numerous and lossy links are harder to pin down).
 """
 
 
-from repro.experiments.figure5 import figure5_table
-from repro.experiments.runner import scaled
+from repro.experiments.registry import resolve_experiment
 
 #: Trimmed value sets keep default runs in minutes; full scale uses the
 #: paper's four curves per panel.
@@ -20,26 +19,18 @@ BENCH_CRASH_VALUES = {"quick": (0.0, 0.03), "default": (0.0, 0.01, 0.03)}
 BENCH_LOSS_VALUES = {"quick": (0.0, 0.03), "default": (0.0, 0.01, 0.03)}
 
 
-def _tuned(scale):
-    if scale.name == "full":
-        return scale, None, None
-    trimmed = scaled(
-        scale,
-        connectivities=tuple(k for k in scale.connectivities if k <= 12),
-    )
-    return (
-        trimmed,
-        BENCH_CRASH_VALUES[scale.name],
-        BENCH_LOSS_VALUES[scale.name],
-    )
+def _run(name, scale, variant, values):
+    """Two trials per point; trimmed grid and curves at non-full scales."""
+    params = {"trials": 2}
+    if scale.name != "full":
+        params["connectivity"] = [k for k in scale.connectivities if k <= 12]
+        params[variant] = values[scale.name]
+    return resolve_experiment(name).run(scale=scale, params=params)
 
 
 def test_figure5a_crash_variant(benchmark, record, scale):
-    tuned, crash_values, _ = _tuned(scale)
     table = benchmark.pedantic(
-        lambda: figure5_table(
-            variant="crash", scale=tuned, values=crash_values, trials=2
-        ),
+        lambda: _run("figure5a", scale, "crash", BENCH_CRASH_VALUES),
         rounds=1,
         iterations=1,
     )
@@ -49,19 +40,16 @@ def test_figure5a_crash_variant(benchmark, record, scale):
         table,
         notes="P=0 converges fastest; effort grows with P",
     )
-    for series in table.series:
-        assert all(y is not None and y > 0 for y in series.ys)
-    zero = next(s for s in table.series if s.name == "P=0")
-    worst = table.series[-1]
-    assert min(zero.ys) <= min(worst.ys)
+    for name in table.columns[1:]:
+        assert all(y is not None and y > 0 for y in table.column(name))
+    zero = table.column("P=0")
+    worst = table.column(table.columns[-1])
+    assert min(zero) <= min(worst)
 
 
 def test_figure5b_loss_variant(benchmark, record, scale):
-    tuned, _, loss_values = _tuned(scale)
     table = benchmark.pedantic(
-        lambda: figure5_table(
-            variant="loss", scale=tuned, values=loss_values, trials=2
-        ),
+        lambda: _run("figure5b", scale, "loss", BENCH_LOSS_VALUES),
         rounds=1,
         iterations=1,
     )
@@ -71,6 +59,6 @@ def test_figure5b_loss_variant(benchmark, record, scale):
         table,
         notes="paper: ~400 msgs/link at connectivity 6, L=0.05 (n=100)",
     )
-    zero = next(s for s in table.series if s.name == "L=0")
-    worst = table.series[-1]
-    assert min(zero.ys) <= min(worst.ys)
+    zero = table.column("L=0")
+    worst = table.column(table.columns[-1])
+    assert min(zero) <= min(worst)

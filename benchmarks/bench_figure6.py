@@ -6,12 +6,14 @@ n=100..240): the ring's messages/link grows roughly linearly with n
 """
 
 
-from repro.experiments.figure6 import figure6_table
+from repro.experiments.registry import resolve_experiment
 
 
 def test_figure6_scalability(benchmark, record, scale):
     table = benchmark.pedantic(
-        lambda: figure6_table(scale=scale, trials=2),
+        lambda: resolve_experiment("figure6").run(
+            scale=scale, params={"trials": 2}
+        ),
         rounds=1,
         iterations=1,
     )
@@ -21,13 +23,13 @@ def test_figure6_scalability(benchmark, record, scale):
         table,
         notes="ring grows with n; random tree stays nearly constant",
     )
-    ring = next(s for s in table.series if s.name == "ring")
-    tree = next(s for s in table.series if s.name == "tree")
+    ring = table.column("ring")
+    tree = table.column("tree")
     # ring effort grows from the smallest to the largest system
-    assert ring.ys[-1] > ring.ys[0]
+    assert ring[-1] > ring[0]
     # at the largest size, the ring costs more than the tree
-    assert ring.ys[-1] > tree.ys[-1]
+    assert ring[-1] > tree[-1]
     # the tree curve grows much slower than the ring curve
-    ring_growth = ring.ys[-1] / ring.ys[0]
-    tree_growth = tree.ys[-1] / max(tree.ys[0], 1e-9)
+    ring_growth = ring[-1] / ring[0]
+    tree_growth = tree[-1] / max(tree[0], 1e-9)
     assert tree_growth < ring_growth

@@ -12,7 +12,6 @@ import os
 
 from repro.experiments.campaign import Campaign
 from repro.scenario.run import scenario_report
-from repro.util.cache import TrialCache
 
 
 def test_scenario_partition_heal_parallel(benchmark, scale, track_trials):
@@ -21,7 +20,7 @@ def test_scenario_partition_heal_parallel(benchmark, scale, track_trials):
     campaigns = []
 
     def run():
-        campaign = Campaign(workers=workers)
+        campaign = Campaign(backend=f"process:{workers}")
         campaigns.append(campaign)
         return scenario_report(
             "partition-heal",
@@ -65,9 +64,9 @@ def test_scenario_trial_throughput(benchmark, scale, track_trials):
 
 
 def test_scenario_cache_hit(benchmark, scale, tmp_path, track_trials):
-    cache = TrialCache(str(tmp_path))
+    backend = f"serial+cache={tmp_path}"
     protocols = ("optimal", "flooding")
-    warm = Campaign(cache=cache)
+    warm = Campaign(backend=backend)
     scenario_report(
         "flash-crowd", protocols=protocols, scale=scale, trials=2,
         campaign=warm,
@@ -77,7 +76,7 @@ def test_scenario_cache_hit(benchmark, scale, tmp_path, track_trials):
     campaigns = []
 
     def rerun():
-        campaign = Campaign(cache=cache)
+        campaign = Campaign(backend=backend)
         campaigns.append(campaign)
         return scenario_report(
             "flash-crowd", protocols=protocols, scale=scale, trials=2,

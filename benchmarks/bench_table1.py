@@ -3,33 +3,20 @@
 import pytest
 
 from repro.core.bayesian import BeliefEstimator
-from repro.experiments.table1 import PAPER_AFTER_SUSPICION, table1_render, table1_rows
-from repro.util.tables import Series, SeriesTable
+from repro.experiments.registry import resolve_experiment
+from repro.experiments.table1 import PAPER_AFTER_SUSPICION
 
 
 def test_table1_regeneration(benchmark, record):
-    rows = benchmark(table1_rows)
-    # express as a SeriesTable for the shared reporting machinery
-    table = SeriesTable(
-        title="Table 1 - beliefs before/after one suspicion (U=5)",
-        x_label="interval (1-based)",
-    )
-    initial = Series("P_B initial")
-    after = Series("P_B after suspicion")
-    for u, (_, _, b0, b1) in enumerate(rows, start=1):
-        initial.add(u, b0)
-        after.add(u, b1)
-    table.add_series(initial)
-    table.add_series(after)
+    table = benchmark(resolve_experiment("table1").run)
     record(
         "Table 1",
         "Bayesian failure-belief adaptation (Algorithm 5)",
         table,
         notes="paper values after suspicion: 0.04/0.12/0.20/0.28/0.36 — exact match",
     )
-    print()
-    print(table1_render())
-    assert [round(r[3], 2) for r in rows] == list(PAPER_AFTER_SUSPICION)
+    after = table.column("P_B after suspicion")
+    assert [round(b, 2) for b in after] == list(PAPER_AFTER_SUSPICION)
 
 
 def test_belief_update_throughput(benchmark):

@@ -1,11 +1,13 @@
 """Shared fixtures for the benchmark suite.
 
-Every bench regenerates one of the paper's tables/figures, prints the
-resulting data series (so ``pytest benchmarks/ --benchmark-only`` output
-contains the figures), and persists text+JSON artefacts under
-``benchmarks/results/``.
+Every bench regenerates one of the paper's tables/figures and prints
+the resulting table (so ``pytest benchmarks/ -s`` output contains the
+figures).  The experiment benches run through the registry
+(``resolve_experiment(name).run(...)``), the one way to run an
+experiment; ``repro experiments run`` persists results when they are
+worth keeping.
 
-The session additionally emits ``results/BENCH_scenarios.json`` — a
+The session emits ``results/BENCH_scenarios.json`` — a
 machine-readable summary of every benchmark that ran (wall time per
 bench, plus trial throughput for benches that report their trial count
 through the ``track_trials`` fixture and event throughput via
@@ -36,7 +38,6 @@ import platform
 import pytest
 
 from repro import __version__
-from repro.experiments.report import ExperimentRecord, ReportWriter
 from repro.experiments.runner import SCALE_ENV, current_scale
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -59,26 +60,15 @@ def scale():
 
 
 @pytest.fixture(scope="session")
-def report():
-    return ReportWriter(RESULTS_DIR)
-
-
-@pytest.fixture(scope="session")
-def record(report, scale):
-    """Persist and print one regenerated experiment."""
+def record(scale):
+    """Print one regenerated table (a ResultSet or SeriesTable)."""
 
     def _record(experiment_id, description, table, notes=""):
-        entry = ExperimentRecord(
-            experiment_id=experiment_id,
-            description=description,
-            scale=scale.name,
-            table=table,
-            notes=notes,
-        )
-        report.add(entry)
         print()
-        print(entry.render())
-        return entry
+        print(f"=== {experiment_id} — {description} (scale: {scale.name}) ===")
+        print(table.render())
+        if notes:
+            print(f"notes: {notes}")
 
     return _record
 

@@ -212,7 +212,7 @@ def bench_figure4a_cell(scale_name: str) -> Dict[str, float]:
 
     trials = _sizes(scale_name)[3]
     spec = resolve_experiment("figure4a")
-    campaign = Campaign(workers=1, cache=None)
+    campaign = Campaign()
     start = time.perf_counter()
     spec.run(
         scale=current_scale(scale_name),
@@ -246,7 +246,7 @@ def bench_scenario_hunt(scale_name: str) -> Dict[str, float]:
 
     budgets = {"quick": 3, "default": 6, "full": 12}
     budget = budgets.get(scale_name, 6)
-    campaign = Campaign(workers=1, cache=None)
+    campaign = Campaign()
     start = time.perf_counter()
     hunt(
         "bench",

@@ -3,31 +3,26 @@
 Usage::
 
     python -m repro list
-    python -m repro figure1
-    python -m repro table1
-    python -m repro figure4a --scale quick
-    python -m repro figure5b --scale default --out results/
-    python -m repro figure6 --scale full
     python -m repro demo                     # 30-second end-to-end demo
 
-    # the experiment registry + durable results store
+    # every experiment runs one way: the registry + durable results store
     python -m repro experiments list
     python -m repro experiments describe figure4a
-    python -m repro experiments run figure4a --scale quick --workers 4
+    python -m repro experiments run figure1
+    python -m repro experiments run figure4a --scale quick --backend process:4
+    python -m repro experiments run figure5b --out results/
+    python -m repro experiments run figure6 --sweep topology=tree --sweep size=24,48
+    python -m repro experiments run figure4b --backend shard:4+cache=/tmp/c \
+        --sweep loss=0.01,0.05 --sweep connectivity=2,4
     python -m repro results show
     python -m repro results show figure4a-0001-1a2b3c4d
     python -m repro results export --format csv --out results.csv
     python -m repro results diff --experiment figure4a   # latest two runs
 
-    # parallel + cached + resumable campaigns over the same experiments
-    python -m repro campaign figure4a --workers 4 --scale quick
-    python -m repro campaign figure6 --sweep topology=tree --sweep size=24,48
-    python -m repro campaign figure4b --sweep loss=0.01,0.05 --sweep connectivity=2,4
-
     # declarative dynamic-environment scenarios (repro.scenario)
     python -m repro scenario list
     python -m repro scenario describe partition-heal
-    python -m repro scenario run partition-heal --workers 4 --scale quick
+    python -m repro scenario run partition-heal --backend process:4 --scale quick
     python -m repro scenario run wan-brownout --protocols adaptive,optimal,gossip
     python -m repro scenario run burst-storm --sweep gossip.rounds=4,8
 
@@ -46,20 +41,22 @@ Usage::
     python -m repro protocols describe two-phase
     python -m repro --version
 
-Every experiment command — the legacy per-figure spellings, ``campaign``
-and ``experiments run`` — dispatches through the experiment registry
+``experiments run`` dispatches through the experiment registry
 (:mod:`repro.experiments.registry`), so built-ins and plugin experiments
-share one execution path: trials compile to campaign specs, fan out over
-worker processes, persist in the on-disk trial cache, and aggregate into
-typed :class:`~repro.results.ResultSet` records.  ``experiments run``
-additionally appends each run to the results store
-(``.repro-results.jsonl`` by default), which is what ``repro results
-show/export/diff`` query — ``diff`` is the run-to-run regression gate.
+share one execution path: trials compile to campaign specs, run on the
+``--backend`` (``serial | process[:N] | shard[:N[:S]]``, optional
+``+cache[=DIR]``; default ``process`` on all CPUs), persist in the
+on-disk trial cache, and aggregate into typed
+:class:`~repro.results.ResultSet` records.  Each run is appended to the
+results store (``.repro-results.jsonl`` by default), which is what
+``repro results show/export/diff`` query — ``diff`` is the run-to-run
+regression gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import Dict, List, Optional
@@ -67,13 +64,7 @@ from typing import Dict, List, Optional
 from repro.errors import ValidationError
 from repro.exec import backend_specs, parse_backend
 from repro.experiments.campaign import Campaign, parse_sweeps
-from repro.experiments.registry import (
-    ExperimentSpec,
-    experiment_names,
-    experiment_specs,
-    resolve_experiment,
-)
-from repro.experiments.report import ExperimentRecord, ReportWriter
+from repro.experiments.registry import experiment_specs, resolve_experiment
 from repro.experiments.runner import current_scale
 from repro.protocols.registry import (
     DeployContext,
@@ -93,13 +84,6 @@ from repro.scenario.registry import (
 from repro.scenario.run import SCENARIO_SWEEP_KEYS, scenario_reports
 from repro.util.cache import TrialCache, default_cache_dir
 from repro.util.tables import render_table
-
-#: Fixed subcommand names a registered experiment may never shadow.
-_RESERVED_COMMANDS = frozenset(
-    ("list", "demo", "protocols", "experiments", "results", "campaign",
-     "scenario", "bench", "backends")
-)
-
 
 def _run_demo() -> int:
     """A self-contained optimal-vs-gossip comparison (quickstart-sized).
@@ -162,13 +146,6 @@ def _add_campaign_options(cmd: argparse.ArgumentParser, sweep_help: str) -> None
             "execution backend: serial, process[:N], shard[:N[:S]] — "
             "see 'repro backends list' (default: process with all CPUs)"
         ),
-    )
-    cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="(deprecated) worker processes; use --backend process:N",
     )
     cmd.add_argument(
         "--sweep",
@@ -251,27 +228,6 @@ def make_parser() -> argparse.ArgumentParser:
         "describe", help="print one protocol's spec (params, flags, aliases)"
     )
     prot_desc.add_argument("name", metavar="PROTOCOL")
-
-    # legacy per-experiment spellings, one subcommand per registered
-    # experiment (delegating to the registry); an experiment whose name
-    # collides with a fixed subcommand (a plugin named "campaign") must
-    # not take down the parser — it stays reachable via 'experiments run'
-    for spec in experiment_specs():
-        if spec.name in _RESERVED_COMMANDS:
-            continue
-        cmd = sub.add_parser(spec.name, help=spec.description)
-        cmd.add_argument(
-            "--scale",
-            choices=["quick", "default", "full"],
-            default=None,
-            help="experiment size preset (default: REPRO_BENCH_SCALE or 'default')",
-        )
-        cmd.add_argument(
-            "--out",
-            metavar="DIR",
-            default=None,
-            help="also write text/JSON artefacts to DIR",
-        )
 
     exps = sub.add_parser(
         "experiments",
@@ -369,33 +325,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="max allowed per-cell absolute drift (default: 0 = bit-identical)",
     )
     _add_store_option(res_diff)
-
-    camp = sub.add_parser(
-        "campaign",
-        help="run a simulated experiment in parallel with result caching",
-        description=(
-            "Run one of the simulated experiments as a campaign: trials "
-            "fan out across worker processes and completed trials are "
-            "cached on disk, so re-runs and interrupted sweeps resume "
-            "for free.  Output is bit-identical to the serial command."
-        ),
-    )
-    camp.add_argument("experiment", choices=experiment_names(simulated=True))
-    _add_campaign_options(
-        camp,
-        sweep_help=(
-            "override one sweep axis; repeatable (e.g. --sweep "
-            "connectivity=2,4,8 --sweep loss=0.01,0.05 --sweep topology=tree)"
-        ),
-    )
-    camp.add_argument(
-        "--rng-ledger",
-        action="store_true",
-        help=(
-            "record per-stream RNG draw counts into the result's "
-            "provenance (metric values are unaffected)"
-        ),
-    )
 
     bench = sub.add_parser(
         "bench",
@@ -605,10 +534,6 @@ def make_parser() -> argparse.ArgumentParser:
         ),
     )
     hunt_cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="(deprecated) worker processes; use --backend process:N",
-    )
-    hunt_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="trial cache directory",
     )
@@ -666,43 +591,31 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _campaign_setup(args: argparse.Namespace):
-    """Shared --backend/--cache-dir/--no-cache handling of the
-    campaign-backed subcommands; returns ``(campaign, workers, cache)``.
+def _campaign_setup(args: argparse.Namespace) -> Campaign:
+    """The campaign of a ``--backend``/``--cache-dir``/``--no-cache`` command.
 
-    ``--workers N`` still works as a deprecated alias for
-    ``--backend process:N`` (with a stderr notice); combining the two
-    is an error.
+    The trial cache lives on the backend: a spec with ``+cache[=DIR]``
+    brings its own, otherwise ``--cache-dir`` (or the default directory)
+    is attached unless ``--no-cache``.  Choosing the cache both ways is
+    an error.  Without ``--backend`` trials run on a process pool with
+    all CPUs.
     """
-    backend_spec = getattr(args, "backend", None)
-    if args.workers is not None:
-        if backend_spec is not None:
+    backend = parse_backend(args.backend or "process")
+    if backend.cache is not None:
+        if args.no_cache or args.cache_dir is not None:
             raise ValidationError(
-                "pass --backend or the deprecated --workers, not both"
+                f"--backend {args.backend!r} attaches a trial cache and "
+                "--no-cache/--cache-dir choose one too; pass one, not both"
             )
-        print(
-            "notice: --workers is deprecated; use --backend process:N",
-            file=sys.stderr,
-        )
-    cache = None if args.no_cache else TrialCache(args.cache_dir)
-    rng_ledger = getattr(args, "rng_ledger", False)
-    if backend_spec is not None:
-        campaign = Campaign(
-            backend=parse_backend(backend_spec),
-            cache=cache,
-            rng_ledger=rng_ledger,
-        )
-    else:
-        workers = (
-            args.workers if args.workers is not None else (os.cpu_count() or 1)
-        )
-        campaign = Campaign(
-            workers=workers, cache=cache, rng_ledger=rng_ledger
-        )
-    return campaign, campaign.workers, campaign.cache
+    elif not args.no_cache:
+        backend.cache = TrialCache(args.cache_dir)
+    return Campaign(
+        backend=backend, rng_ledger=getattr(args, "rng_ledger", False)
+    )
 
 
-def _campaign_summary(campaign: Campaign, workers: int, cache) -> str:
+def _campaign_summary(campaign: Campaign) -> str:
+    cache = campaign.backend.cache
     return (
         f"campaign: {campaign.executed} trials executed, "
         f"{campaign.cached} cache hits "
@@ -711,76 +624,19 @@ def _campaign_summary(campaign: Campaign, workers: int, cache) -> str:
     )
 
 
-def _write_result_artefacts(
-    result: ResultSet,
-    spec: ExperimentSpec,
-    out_dir: str,
-    metadata: Optional[Dict[str, object]] = None,
-) -> None:
-    """``--out`` artefacts for one registry-run experiment.
+def _write_result_artefacts(result: ResultSet, out_dir: str) -> None:
+    """``--out``: ``<name>.txt`` (the rendered table) + ``<name>.json``.
 
-    Figure-shaped results keep the legacy ReportWriter layout
-    (``<name>.txt`` / ``<name>.json`` with the series data); flat tables
-    (Table 1) keep their historical text artefact.
+    The JSON artefact is :meth:`ResultSet.to_json`, the same record the
+    results store keeps and ``repro results export`` prints.
     """
-    if result.x_label is not None:
-        writer = ReportWriter(out_dir)
-        writer.add(ExperimentRecord.from_result_set(result, spec, metadata))
-        return
     os.makedirs(out_dir, exist_ok=True)
-    stem = "table_1" if spec.name == "table1" else spec.name
-    with open(os.path.join(out_dir, f"{stem}.txt"), "w") as fh:
+    stem = os.path.join(out_dir, result.experiment)
+    with open(f"{stem}.txt", "w", encoding="utf-8") as fh:
         fh.write(result.render() + "\n")
-
-
-def _run_registry_experiment(args: argparse.Namespace) -> int:
-    """Legacy ``repro figure4a``-style commands, through the registry."""
-    scale = current_scale(args.scale)
-    spec = resolve_experiment(args.command)
-    result = spec.run(scale=scale)
-    print(result.render())
-    if args.out:
-        _write_result_artefacts(result, spec, args.out)
-        if result.x_label is not None:
-            print(f"\nartefacts written to {args.out}/")
-    return 0
-
-
-def _run_campaign(args: argparse.Namespace) -> int:
-    scale = current_scale(args.scale)
-    try:
-        spec = resolve_experiment(args.experiment)
-        campaign, workers, cache = _campaign_setup(args)
-        sweeps = parse_sweeps(args.sweep)
-        result = spec.run(scale=scale, params=sweeps, campaign=campaign)
-    except ValueError as exc:
-        # ValidationError and the builders' ValueErrors (bad variant,
-        # bad topology, bad worker count) all surface as clean usage errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(result.render())
-    print(f"\n{_campaign_summary(campaign, workers, cache)}")
-    if campaign.rng_ledger:
-        print(
-            f"rng ledger: {len(campaign.rng_draws)} streams, "
-            f"{sum(campaign.rng_draws.values())} draws "
-            "(recorded in provenance)"
-        )
-    if args.out:
-        _write_result_artefacts(
-            result,
-            spec,
-            args.out,
-            metadata={
-                "workers": workers,
-                "trials_executed": campaign.executed,
-                "cache_hits": campaign.cached,
-                "cache_dir": cache.directory if cache else None,
-                "sweeps": args.sweep,
-            },
-        )
-        print(f"artefacts written to {args.out}/")
-    return 0
+    with open(f"{stem}.json", "w", encoding="utf-8") as fh:
+        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _print_experiment_table() -> None:
@@ -841,7 +697,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
     store: Optional[ResultStore] = None
     try:
         spec = resolve_experiment(args.name)
-        campaign, workers, cache = _campaign_setup(args)
+        campaign = _campaign_setup(args)
         # validate the sweeps before touching the filesystem: a typo'd
         # --sweep key must not leave a freshly created store file behind
         params = spec.make_params(parse_sweeps(args.sweep))
@@ -865,7 +721,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             store_error = exc  # never discard a computed table over this
     print(result.render())
-    print(f"\n{_campaign_summary(campaign, workers, cache)}")
+    print(f"\n{_campaign_summary(campaign)}")
     if campaign.rng_ledger:
         print(
             f"rng ledger: {len(campaign.rng_draws)} streams, "
@@ -875,17 +731,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
     if store is not None and store_error is None:
         print(f"stored as {result.run_id} in {store.path}")
     if args.out:
-        _write_result_artefacts(
-            result,
-            spec,
-            args.out,
-            metadata={
-                "workers": workers,
-                "trials_executed": campaign.executed,
-                "cache_hits": campaign.cached,
-                "sweeps": args.sweep,
-            },
-        )
+        _write_result_artefacts(result, args.out)
         print(f"artefacts written to {args.out}/")
     if store_error is not None:
         print(
@@ -1040,16 +886,9 @@ def _run_list() -> int:
     )
     _print_experiment_table()
     print(
-        "\ncampaign <experiment>  parallel cached run of any simulated "
-        "experiment above"
+        "  run: repro experiments run NAME [--backend SPEC] "
+        "[--sweep AXIS=V1,V2,...]"
     )
-    simulated = [spec for spec in specs if spec.simulated]
-    sweep_width = max(len(spec.name) for spec in simulated)
-    for spec in simulated:
-        print(
-            f"  {spec.name:<{sweep_width}}  --sweep "
-            f"{', '.join(spec.sweep_keys())}"
-        )
     print(
         "\nresults show|export|diff  the durable results store "
         "(provenance, CSV/JSON export, regression diff)"
@@ -1238,7 +1077,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
                 "--protocols needs at least one protocol; choose from "
                 + ", ".join(protocol_names())
             )
-        campaign, workers, cache = _campaign_setup(args)
+        campaign = _campaign_setup(args)
         sweeps = parse_sweeps(args.sweep)
         for key in sweeps:
             if "." in key:
@@ -1277,7 +1116,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
         if index:
             print()
         print(report.render())
-    print(f"\n{_campaign_summary(campaign, workers, cache)}")
+    print(f"\n{_campaign_summary(campaign)}")
     if args.out:
         for report in reports:
             report.write(args.out)
@@ -1298,8 +1137,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
 
 def _run_scenario_generate(args: argparse.Namespace, scale) -> int:
     """``repro scenario generate``: sample and print/write seeded specs."""
-    import json as _json
-
     from repro.scenario.generate import ScenarioGenerator
     from repro.scenario.trial import canonical_spec_json
 
@@ -1316,7 +1153,7 @@ def _run_scenario_generate(args: argparse.Namespace, scale) -> int:
             stem = spec.name.replace(":", "-")
             path = os.path.join(args.out, f"{stem}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                _json.dump(spec.to_json(), fh, indent=2, sort_keys=True)
+                json.dump(spec.to_json(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         print(f"{len(specs)} specs written to {args.out}/")
     elif args.json:
@@ -1332,14 +1169,12 @@ def _run_scenario_generate(args: argparse.Namespace, scale) -> int:
 
 def _run_scenario_hunt(args: argparse.Namespace, scale) -> int:
     """``repro scenario hunt``: adversarial worst-case regret search."""
-    import json as _json
-
     from repro.scenario.adversarial import hunt
     from repro.scenario.registry import promote_scenario
 
     store = ResultStore(args.store or None) if args.store is not None else None
     try:
-        campaign, workers, cache = _campaign_setup(args)
+        campaign = _campaign_setup(args)
         if store is not None:
             store.check_writable()
         result = hunt(
@@ -1360,7 +1195,7 @@ def _run_scenario_hunt(args: argparse.Namespace, scale) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.render())
-    print(f"\n{_campaign_summary(campaign, workers, cache)}")
+    print(f"\n{_campaign_summary(campaign)}")
     if store is not None:
         stored = store.append(result.to_result_set())
         print(f"stored as {stored.run_id} ({store.path})")
@@ -1371,7 +1206,7 @@ def _run_scenario_hunt(args: argparse.Namespace, scale) -> int:
             f"hunt_{result.seed}_{result.scale}_b{result.budget}.json",
         )
         with open(path, "w", encoding="utf-8") as fh:
-            _json.dump(result.to_json(), fh, indent=2, sort_keys=True)
+            json.dump(result.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"hunt artefact written to {path}")
     if args.promote:
@@ -1449,17 +1284,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_experiments(args)
     if args.command == "results":
         return _run_results(args)
-    if args.command == "campaign":
-        return _run_campaign(args)
     if args.command == "scenario":
         return _run_scenario(args)
     if args.command == "bench":
         return _run_bench(args)
     if args.command == "backends":
         return _run_backends(args)
-    if args.command == "lint":
-        return _run_lint(args)
-    return _run_registry_experiment(args)
+    return _run_lint(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

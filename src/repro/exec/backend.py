@@ -69,9 +69,9 @@ class ExecutionBackend(ABC):
     Attributes:
         name: short registry name (``"serial"``, ``"process"``, ...).
         workers: logical worker count the backend fans out to.
-        cache: shared :class:`TrialCache`; the campaign wires its own
-            cache in before submitting, and spec strings may attach one
-            via the ``+cache[=DIR]`` suffix.
+        cache: shared :class:`TrialCache` (or ``None``) — the only
+            place a campaign's trial cache lives; spec strings attach
+            one via the ``+cache[=DIR]`` suffix.
     """
 
     name: str = "backend"

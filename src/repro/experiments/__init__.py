@@ -1,8 +1,11 @@
 """Experiment harness regenerating every table and figure of Section 5.
 
-Each module exposes a ``*_table()`` function returning a
-:class:`repro.util.tables.SeriesTable` with the same rows/curves the paper
-plots; the benchmark suite calls these and prints the tables.
+Each artefact is a registered :class:`ExperimentSpec` whose
+``build``/``aggregate`` hooks turn a scale and typed parameters into
+campaign trial specs and fold the results into a
+:class:`~repro.results.ResultSet`; run one with
+``resolve_experiment(name).run(scale, params, campaign)`` or
+``repro experiments run NAME``.
 
 Scales: the paper runs 100 processes with ``K = 0.9999``; certifying that
 reliability empirically needs orders of magnitude more trials than a
@@ -16,12 +19,7 @@ executes these experiments in parallel with on-disk caching.
 """
 
 from repro.experiments.campaign import Campaign, TrialSpec, execute_spec
-from repro.experiments.runner import ExperimentScale, TrialRunner, current_scale
-from repro.experiments.figure1 import figure1_table
-from repro.experiments.figure4 import figure4_table
-from repro.experiments.figure5 import figure5_table
-from repro.experiments.figure6 import figure6_table
-from repro.experiments.heterogeneous import heterogeneity_table
+from repro.experiments.runner import ExperimentScale, current_scale
 from repro.experiments.registry import (
     ExperimentContext,
     ExperimentSpec,
@@ -29,24 +27,15 @@ from repro.experiments.registry import (
     experiment_specs,
     register_experiment,
     resolve_experiment,
-    run_experiment,
     unregister_experiment,
 )
-from repro.experiments.table1 import table1_render
 
 __all__ = [
     "Campaign",
     "ExperimentScale",
-    "TrialRunner",
     "TrialSpec",
     "current_scale",
     "execute_spec",
-    "figure1_table",
-    "figure4_table",
-    "figure5_table",
-    "figure6_table",
-    "heterogeneity_table",
-    "table1_render",
     "ExperimentSpec",
     "ExperimentContext",
     "register_experiment",
@@ -54,5 +43,4 @@ __all__ = [
     "resolve_experiment",
     "experiment_names",
     "experiment_specs",
-    "run_experiment",
 ]

@@ -44,7 +44,7 @@ from typing import (
 )
 
 from repro.errors import ValidationError
-from repro.util.cache import TrialCache, content_key
+from repro.util.cache import content_key
 from repro.util.rng import DrawLedger, ledger_scope
 from repro.util.stats import OnlineStats
 
@@ -176,24 +176,20 @@ class Campaign:
     """Executes batches of :class:`TrialSpec` with caching and a backend.
 
     Args:
-        workers: deprecated-but-supported worker process count; ``1``
-            maps to the serial backend and ``N > 1`` to a process pool.
-            Mutually exclusive with ``backend``.
-        cache: optional :class:`TrialCache`; when set, completed trials
-            are persisted and later batches skip anything already on
-            disk.  Cache writes happen in the parent as results arrive,
-            so an interrupted campaign keeps everything that finished.
-            The cache is also wired into the backend so out-of-process
-            workers share it.
+        backend: an :class:`~repro.exec.ExecutionBackend` instance or a
+            spec string (``"serial"``, ``"process:8"``,
+            ``"shard:8+cache=DIR"``); defaults to serial.  The trial cache
+            is the backend's :attr:`~repro.exec.ExecutionBackend.cache`:
+            when set, completed trials are persisted (in the parent, as
+            results arrive, so an interrupted campaign keeps everything
+            that finished) and later batches skip anything already on
+            disk.
         rng_ledger: when true, every trial runs with an active
             :class:`~repro.util.rng.DrawLedger`; per-stream draw counts
             accumulate into :attr:`rng_draws` (summed over executed and
             cache-recovered trials alike) for provenance.  Ledgered
             trials cache under distinct content keys, so default runs
             stay byte-identical to a build without the ledger.
-        backend: an :class:`~repro.exec.ExecutionBackend` instance or a
-            spec string (``"serial"``, ``"process:8"``, ``"shard:8"``);
-            defaults to serial.
 
     The cumulative counters :attr:`executed` and :attr:`cached` track how
     much work the campaign actually did versus recovered from disk, and
@@ -203,36 +199,15 @@ class Campaign:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
-        cache: Optional[TrialCache] = None,
-        rng_ledger: bool = False,
         backend: Union["str", "ExecutionBackend", None] = None,
+        rng_ledger: bool = False,
     ) -> None:
         # deferred: repro.exec imports TrialSpec/execute_spec from here
-        from repro.exec import (
-            ProcessPoolBackend,
-            SerialBackend,
-            resolve_backend,
-        )
+        from repro.exec import SerialBackend, resolve_backend
 
-        if backend is not None and workers is not None:
-            raise ValidationError(
-                "pass either workers= (deprecated) or backend=, not both"
-            )
-        if backend is None:
-            count = 1 if workers is None else workers
-            if count < 1:
-                raise ValidationError(f"workers must be >= 1, got {count}")
-            backend = (
-                SerialBackend() if count == 1 else ProcessPoolBackend(count)
-            )
-        else:
-            backend = resolve_backend(backend)
-        if cache is not None:
-            backend.cache = cache
-        self.backend = backend
-        self.workers = backend.workers
-        self.cache = backend.cache
+        self.backend = (
+            SerialBackend() if backend is None else resolve_backend(backend)
+        )
         self.rng_ledger = rng_ledger
         self.executed = 0
         self.cached = 0
@@ -262,6 +237,7 @@ class Campaign:
         lazily at yield time, so peak memory is bounded by the
         out-of-orderness of the backend — not the campaign size.
         """
+        cache = self.backend.cache
         if self.rng_ledger:
             specs = [
                 TrialSpec.make(
@@ -279,7 +255,7 @@ class Campaign:
             needs[key] = needs.get(key, 0) + 1
             if needs[key] > 1:
                 continue
-            hit = self.cache.get(key) if self.cache is not None else None
+            hit = cache.get(key) if cache is not None else None
             if hit is not None:
                 cached_keys.add(key)
                 self.cached += 1
@@ -297,7 +273,7 @@ class Campaign:
                 if needs[key] == 0:
                     del buffer[key]
                 return result
-            result = self.cache.get(key) if self.cache is not None else None
+            result = cache.get(key) if cache is not None else None
             if result is None:
                 raise ValidationError(
                     f"trial cache entry {key[:12]}... disappeared mid-run"
@@ -316,8 +292,8 @@ class Campaign:
         for spec, result in self.backend.submit(pending):
             key = spec.key()
             self.executed += 1
-            if self.cache is not None:
-                self.cache.put(
+            if cache is not None:
+                cache.put(
                     key,
                     result,
                     context={"fn": spec.fn, "params": spec.kwargs()},

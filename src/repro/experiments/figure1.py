@@ -12,10 +12,10 @@ exactly like Figures 4/5/6.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.two_paths import message_ratio
-from repro.experiments.campaign import Campaign, TrialSpec
+from repro.experiments.campaign import TrialSpec
 from repro.util.tables import Series, SeriesTable
 
 #: The loss probabilities plotted in the paper's Figure 1.
@@ -67,18 +67,6 @@ def figure1_aggregate(
             table.add_series(by_loss[loss])
         by_loss[loss].add(alpha, result["ratio"])
     return table
-
-
-def figure1_table(
-    losses: Sequence[float] = PAPER_LOSSES,
-    alphas: Iterable[float] = PAPER_ALPHAS,
-    campaign: Optional[Campaign] = None,
-) -> SeriesTable:
-    """``k1/k0`` versus ``alpha``, one curve per ``L`` — Figure 1."""
-    campaign = campaign or Campaign()
-    alphas = list(alphas)
-    results = campaign.run(figure1_build(losses, alphas))
-    return figure1_aggregate(results, losses, alphas)
 
 
 def expected_anchor_points() -> dict:

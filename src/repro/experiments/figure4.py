@@ -19,7 +19,7 @@ algorithms must deliver to all processes with the same probability ``K``.
   ``needs_calibration`` capability flag marks exactly this knob.
 
 Execution is campaign-based (see :mod:`repro.experiments.campaign`):
-:func:`figure4_table` describes every calibration and measurement trial
+:func:`figure4_build` describes every calibration and measurement trial
 as a seed-complete :class:`~repro.experiments.campaign.TrialSpec` and a
 :class:`~repro.experiments.campaign.Campaign` runs them — serially
 in-process by default, or fanned out over worker processes with on-disk
@@ -35,7 +35,6 @@ from repro.core.optimize import optimize
 from repro.experiments.campaign import Campaign, TrialSpec, chunked
 from repro.experiments.runner import (
     ExperimentScale,
-    current_scale,
     make_network,
     point_grid,
     variant_axes,
@@ -231,9 +230,9 @@ def figure4_build(
 
     The calibration phase (one round-budget fit per grid point) runs
     through ``campaign`` immediately — its results parameterise the
-    measurement specs this returns.  Callers (``figure4_table``, the
-    experiment registry) run the returned specs through the same
-    campaign and hand the results to :func:`figure4_aggregate`.
+    measurement specs this returns.  The experiment registry runs the
+    returned specs through the same campaign and hands the results to
+    :func:`figure4_aggregate`.
     """
     values, _, _ = _variant_axes(variant, values)
     points = point_grid(scale, values)
@@ -302,30 +301,3 @@ def figure4_aggregate(
     for value in values:
         table.add_series(by_value[value])
     return table
-
-
-def figure4_table(
-    variant: str = "crash",
-    scale: Optional[ExperimentScale] = None,
-    values: Optional[Sequence[float]] = None,
-    count_acks: bool = False,
-    campaign: Optional[Campaign] = None,
-) -> SeriesTable:
-    """Regenerate Figure 4(a) (``variant="crash"``) or 4(b) (``"loss"``).
-
-    Each curve fixes one probability value; the x-axis sweeps network
-    connectivity.  y = reference/optimal message ratio.
-
-    Args:
-        campaign: execution engine; defaults to a serial, cache-less
-            :class:`Campaign`.  Pass one with ``workers > 1`` and/or a
-            :class:`~repro.util.cache.TrialCache` to parallelise — the
-            table is identical in all cases.
-    """
-    scale = scale or current_scale()
-    campaign = campaign or Campaign()
-    meas_specs = figure4_build(
-        variant, scale, campaign, values=values, count_acks=count_acks
-    )
-    measurements = campaign.run(meas_specs)
-    return figure4_aggregate(variant, scale, measurements, values=values)

@@ -10,8 +10,8 @@ heartbeat per incident link per ``delta``, so messages/link accumulate at
 We run the full adaptive stack (vectorised views) until the
 :func:`repro.analysis.convergence.views_converged` predicate holds and
 report ``heartbeat messages sent / link count``.  Trials are described as
-campaign specs (seed-complete, spawn-safe), so ``repro campaign`` can
-fan them out across worker processes with results identical to the
+campaign specs (seed-complete, spawn-safe), so ``repro experiments run``
+can fan them out across worker processes with results identical to the
 serial run.
 """
 
@@ -31,7 +31,6 @@ from repro.protocols.registry import (
 )
 from repro.experiments.runner import (
     ExperimentScale,
-    current_scale,
     make_network,
     point_grid,
     variant_axes,
@@ -252,22 +251,3 @@ def figure5_aggregate(
     for value in values:
         table.add_series(by_value[value])
     return table
-
-
-def figure5_table(
-    variant: str = "crash",
-    scale: Optional[ExperimentScale] = None,
-    values: Optional[Sequence[float]] = None,
-    trials: Optional[int] = None,
-    campaign: Optional[Campaign] = None,
-) -> SeriesTable:
-    """Regenerate Figure 5(a) (``variant="crash"``) or 5(b) (``"loss"``).
-
-    x = connectivity, y = heartbeat messages per link until all processes
-    learned the reliability probabilities.  All points' trials run in one
-    campaign batch, so worker processes stay busy across the whole grid.
-    """
-    scale = scale or current_scale()
-    campaign = campaign or Campaign()
-    results = campaign.run(figure5_build(variant, scale, values, trials))
-    return figure5_aggregate(variant, scale, results, values, trials)

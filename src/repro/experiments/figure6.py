@@ -7,7 +7,7 @@ effort stays nearly constant).  The metric is the same messages/link
 counter as Figure 5, with a mildly unreliable uniform configuration.
 
 Like Figures 4/5, every (topology, n, trial) cell is a seed-complete
-campaign spec, so ``repro campaign figure6`` parallelises and caches the
+campaign spec, so ``repro experiments run figure6`` parallelises and caches the
 sweep; ``--sweep topology=... --sweep size=... --sweep loss=...`` widens
 or narrows the grid (multiple loss values add one curve per topology x
 loss combination).
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.campaign import Campaign, TrialSpec, chunked
 from repro.experiments.figure5 import convergence_messages_per_link
-from repro.experiments.runner import ExperimentScale, current_scale
+from repro.experiments.runner import ExperimentScale
 from repro.topology.configuration import Configuration
 from repro.topology.generators import random_tree, ring
 from repro.util.rng import RandomSource
@@ -180,30 +180,3 @@ def figure6_aggregate(
         stats = Campaign.aggregate(chunk, "messages_per_link")
         series_map[key].add(n, stats.mean)
     return table
-
-
-def figure6_table(
-    scale: Optional[ExperimentScale] = None,
-    sizes: Optional[Sequence[int]] = None,
-    trials: Optional[int] = None,
-    loss: float = DEFAULT_LOSS,
-    topologies: Optional[Sequence[str]] = None,
-    losses: Optional[Sequence[float]] = None,
-    campaign: Optional[Campaign] = None,
-) -> SeriesTable:
-    """Regenerate Figure 6: messages/link to converge vs system size.
-
-    Args:
-        topologies: subset of ``("ring", "tree")`` to sweep.
-        losses: loss probabilities to sweep; a single value keeps the
-            paper's series naming (one curve per topology), several add
-            ``L=`` suffixes and one curve per combination.
-    """
-    scale = scale or current_scale()
-    campaign = campaign or Campaign()
-    results = campaign.run(
-        figure6_build(scale, sizes, trials, loss, topologies, losses)
-    )
-    return figure6_aggregate(
-        scale, results, sizes, trials, loss, topologies, losses
-    )

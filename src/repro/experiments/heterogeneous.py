@@ -17,8 +17,8 @@ oblivious baseline cannot.
 Both configurations rebuild deterministically from scalars (the
 heterogeneous one from its own ``("hetero", connectivity, seed)``
 stream), so the calibration and measurement trials are campaign specs
-like the Figure 4 ones and ``repro campaign heterogeneous`` parallelises
-the comparison.  Protocol stacks deploy through the protocol registry
+like the Figure 4 ones and ``repro experiments run heterogeneous``
+parallelises the comparison.  Protocol stacks deploy through the protocol registry
 (via the shared gossip trial runner), never by direct construction.
 """
 
@@ -32,7 +32,7 @@ from repro.experiments.figure4 import (
     measure_reference_once,
     optimal_messages,
 )
-from repro.experiments.runner import ExperimentScale, current_scale
+from repro.experiments.runner import ExperimentScale
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular
 from repro.topology.graph import Graph
@@ -300,24 +300,3 @@ def heterogeneity_aggregate(
     table.add_series(uniform)
     table.add_series(hetero)
     return table
-
-
-def heterogeneity_table(
-    scale: Optional[ExperimentScale] = None,
-    mean_loss: float = 0.05,
-    connectivities: Optional[Sequence[int]] = None,
-    spread: float = 1.0,
-    seed: int = 0,
-    campaign: Optional[Campaign] = None,
-) -> SeriesTable:
-    """Reference/optimal ratio: uniform vs heterogeneous environments."""
-    scale = scale or current_scale()
-    campaign = campaign or Campaign()
-    measurements = campaign.run(
-        heterogeneity_build(
-            scale, campaign, mean_loss, connectivities, spread, seed
-        )
-    )
-    return heterogeneity_aggregate(
-        scale, measurements, mean_loss, connectivities, spread, seed
-    )

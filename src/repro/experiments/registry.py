@@ -14,7 +14,7 @@ axes), and a uniform two-hook execution contract:
 * ``aggregate(ctx, results) -> ResultSet`` — fold the ordered results
   into a typed, provenance-stamped :class:`~repro.results.ResultSet`.
 
-:func:`run_experiment` composes the two through a
+:meth:`ExperimentSpec.run` composes the two through a
 :class:`~repro.experiments.campaign.Campaign`, so every registered
 experiment — built-in or third-party — parallelises, caches and resumes
 uniformly, and its output lands in the results store as durable data
@@ -77,8 +77,8 @@ class ExperimentContext:
             own parameter overrides are applied — hooks derive their
             effective scale from ``scale`` + ``params``).
         campaign: execution engine; ``build`` hooks may run pre-phases
-            (calibration) through it, and :func:`run_experiment` uses it
-            for the main trial batch.
+            (calibration) through it, and :meth:`ExperimentSpec.run` uses
+            it for the main trial batch.
         params: instance of the spec's ``params_type`` (never None when
             the spec declares one — defaults are materialised).
     """
@@ -257,15 +257,15 @@ class ExperimentSpec:
         build: hook compiling the context into campaign trial specs
             (may run pre-phases through ``ctx.campaign``).
         aggregate: hook folding the ordered trial results into a
-            :class:`~repro.results.ResultSet` (:func:`run_experiment`
-            stamps provenance afterwards).
+            :class:`~repro.results.ResultSet` (:meth:`run` stamps
+            provenance afterwards).
         artefact: the paper artefact the experiment regenerates
             (``"Figure 4(a)"``, ``"Table 1"``, ...).
         aliases: alternative accepted spellings.
         params_type: frozen dataclass of sweepable axes (None for a
             parameterless experiment).
         simulated: True when trials run the discrete-event simulator
-            (these are the ones worth fanning out with ``--workers``);
+            (these are the ones worth fanning out with ``--backend``);
             analytic experiments (Figure 1, Table 1) are False.
     """
 
@@ -359,7 +359,14 @@ class ExperimentSpec:
         params: Optional[Union[object, Dict[str, Any]]] = None,
         campaign: Optional[Campaign] = None,
     ) -> ResultSet:
-        """Build, execute and aggregate one run; see :func:`run_experiment`."""
+        """Run the experiment end to end.
+
+        The one execution path behind ``repro experiments run`` and
+        :func:`repro.api.run_experiment`: materialise the typed params,
+        ``build`` the trial specs, execute them through ``campaign``
+        (serial and cache-less by default) and ``aggregate`` into a
+        provenance-stamped :class:`~repro.results.ResultSet`.
+        """
         scale = scale or current_scale()
         campaign = campaign or Campaign()
         ctx = ExperimentContext(
@@ -543,26 +550,6 @@ def experiment_specs() -> List[ExperimentSpec]:
     return list(_REGISTRY.values())
 
 
-def run_experiment(
-    experiment: Union[str, ExperimentSpec],
-    scale: Optional[ExperimentScale] = None,
-    params: Optional[Union[object, Dict[str, Any]]] = None,
-    campaign: Optional[Campaign] = None,
-) -> ResultSet:
-    """Run one registered experiment end to end.
-
-    The uniform execution path behind ``repro experiments run``, the
-    legacy per-figure CLI commands and :func:`repro.api.run_experiment`:
-    resolve the spec, materialise its typed params, ``build`` the trial
-    specs, execute them through the campaign (serially by default;
-    parallel and cached when the campaign says so) and ``aggregate``
-    into a provenance-stamped :class:`~repro.results.ResultSet`.
-    """
-    return resolve_experiment(experiment).run(
-        scale=scale, params=params, campaign=campaign
-    )
-
-
 # -- plugin discovery -----------------------------------------------------------------
 
 
@@ -620,8 +607,7 @@ def _sized_scale(
 ) -> ExperimentScale:
     """Apply the shared n / connectivity / trials axes to the scale.
 
-    Mirrors the legacy ``repro campaign`` sweep semantics exactly: ``n``
-    replaces the system size first, swept connectivities must fit below
+    ``n`` replaces the system size first, swept connectivities must fit below
     the (possibly overridden) ``n`` — an explicitly requested value must
     never be silently dropped by the builders' ``connectivity < n`` grid
     filter — and ``trials`` lands in the scale only for the experiments

@@ -11,10 +11,10 @@ experiment — trivially cheap here, but uniform.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.bayesian import BeliefEstimator
-from repro.experiments.campaign import Campaign, TrialSpec
+from repro.experiments.campaign import TrialSpec
 
 #: The paper's published case-(b) beliefs, for verification.
 PAPER_AFTER_SUSPICION = (0.04, 0.12, 0.20, 0.28, 0.36)
@@ -66,27 +66,3 @@ def table1_aggregate(
             (bounds, result["midpoint"], result["initial"], result["after"])
         )
     return rows
-
-
-def table1_rows(
-    intervals: int = 5, campaign: Optional[Campaign] = None
-) -> List[Tuple[str, float, float, float]]:
-    """Rows: (interval bounds, P_F|B midpoint, initial belief, after one
-    suspicion)."""
-    campaign = campaign or Campaign()
-    return table1_aggregate(campaign.run(table1_build(intervals)), intervals)
-
-
-def table1_render(
-    intervals: int = 5, campaign: Optional[Campaign] = None
-) -> str:
-    """Render Table 1 as text (initial vs after-suspicion beliefs)."""
-    from repro.util.tables import render_table
-
-    rows = table1_rows(intervals, campaign=campaign)
-    return render_table(
-        headers=list(TABLE1_HEADERS),
-        rows=[list(r) for r in rows],
-        title=TABLE1_TITLE,
-        precision=4,
-    )

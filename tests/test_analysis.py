@@ -389,7 +389,7 @@ class TestLedgerProvenance:
             "figure4a",
             scale="quick",
             params=self.PARAMS,
-            workers=workers,
+            backend="serial" if workers == 1 else f"process:{workers}",
             **kwargs,
         )
 

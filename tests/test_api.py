@@ -156,7 +156,9 @@ class TestRunScenario:
     def test_custom_spec_rejects_workers(self):
         spec = api.get_scenario("partition-heal", "quick")
         with pytest.raises(ValidationError, match="serially"):
-            api.run_scenario(spec, ("flooding",), workers=2, trials=1)
+            api.run_scenario(
+                spec, ("flooding",), backend="process:2", trials=1
+            )
 
     def test_custom_spec_rejects_n(self):
         spec = api.get_scenario("partition-heal", "quick")
@@ -193,7 +195,10 @@ class TestRunScenario:
         assert payload["scenario"] == "partition-heal"
         assert payload["rows"][0]["protocol"] == "flooding"
 
-    def test_custom_spec_rejects_cache(self):
+    def test_custom_spec_rejects_cache(self, tmp_path):
         spec = api.get_scenario("partition-heal", "quick")
         with pytest.raises(ValidationError, match="cache"):
-            api.run_scenario(spec, ("flooding",), cache=True, trials=1)
+            api.run_scenario(
+                spec, ("flooding",), backend=f"serial+cache={tmp_path}",
+                trials=1,
+            )

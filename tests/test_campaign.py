@@ -12,8 +12,8 @@ from repro.experiments.campaign import (
     parse_sweep,
     parse_sweeps,
 )
-from repro.experiments.figure4 import figure4_table
 from repro.experiments.figure5 import CONVERGENCE_FN
+from repro.experiments.registry import resolve_experiment
 from repro.experiments.runner import QUICK, scaled
 from repro.util.cache import TrialCache, content_key
 
@@ -122,13 +122,13 @@ class TestCampaignExecution:
 
     def test_parallel_matches_serial(self):
         specs = [_convergence_spec(t) for t in range(4)]
-        serial = Campaign(workers=1).run(specs)
-        parallel = Campaign(workers=2).run(specs)
+        serial = Campaign(backend="serial").run(specs)
+        parallel = Campaign(backend="process:2").run(specs)
         assert serial == parallel
 
     def test_workers_validated(self):
         with pytest.raises(ValidationError):
-            Campaign(workers=0)
+            Campaign(backend="process:0")
 
     def test_aggregate_orders_fold(self):
         stats = Campaign.aggregate(
@@ -140,14 +140,14 @@ class TestCampaignExecution:
 
 class TestCampaignCache:
     def test_cache_hit_skips_execution(self, tmp_path):
-        cache = TrialCache(str(tmp_path))
+        backend = f"serial+cache={tmp_path}"
         specs = [_convergence_spec(t) for t in range(2)]
-        first = Campaign(cache=cache)
+        first = Campaign(backend=backend)
         results1 = first.run(specs)
         assert first.executed == 2
         assert first.cached == 0
 
-        second = Campaign(cache=cache)
+        second = Campaign(backend=backend)
         results2 = second.run(specs)
         assert second.executed == 0
         assert second.cached == 2
@@ -155,26 +155,27 @@ class TestCampaignCache:
 
     def test_interrupted_campaign_resumes(self, tmp_path):
         cache = TrialCache(str(tmp_path))
+        backend = f"serial+cache={tmp_path}"
         good = [_convergence_spec(t) for t in range(2)]
         # a trial that fails mid-campaign: impossible deadline -> timeout
         bad = _convergence_spec(2, deadline=4.0)
 
-        interrupted = Campaign(cache=cache)
+        interrupted = Campaign(backend=backend)
         with pytest.raises(ConvergenceTimeoutError):
             interrupted.run(good + [bad] + [_convergence_spec(3)])
         # everything that finished before the crash is on disk
         assert interrupted.executed == 2
         assert len(cache) == 2
 
-        resumed = Campaign(cache=cache)
+        resumed = Campaign(backend=backend)
         results = resumed.run(good + [_convergence_spec(3)])
         assert resumed.cached == 2
         assert resumed.executed == 1
         assert len(results) == 3
 
     def test_cache_is_spec_keyed(self, tmp_path):
-        cache = TrialCache(str(tmp_path))
-        campaign = Campaign(cache=cache)
+        backend = f"serial+cache={tmp_path}"
+        campaign = Campaign(backend=backend)
         campaign.run([_convergence_spec(0)])
         # different params -> different key -> still executes
         campaign.run([_convergence_spec(1)])
@@ -184,27 +185,28 @@ class TestCampaignCache:
 class TestFigureCampaigns:
     """The acceptance-criteria behaviours at test scale."""
 
-    def test_parallel_figure4_identical_to_serial(self):
-        serial = figure4_table(variant="loss", scale=TINY, values=(0.05,))
-        campaign = Campaign(workers=2)
-        parallel = figure4_table(
-            variant="loss", scale=TINY, values=(0.05,), campaign=campaign
+    PARAMS = {"loss": [0.05], "trials": [3]}
+
+    def _run(self, campaign):
+        return resolve_experiment("figure4b").run(
+            scale=TINY, params=self.PARAMS, campaign=campaign
         )
+
+    def test_parallel_figure4_identical_to_serial(self):
+        serial = self._run(Campaign(backend="serial"))
+        campaign = Campaign(backend="process:2")
+        parallel = self._run(campaign)
         assert serial.render() == parallel.render()
         assert campaign.executed > 0
 
     def test_figure4_rerun_hits_cache(self, tmp_path):
-        cache = TrialCache(str(tmp_path))
-        first = Campaign(cache=cache)
-        table1 = figure4_table(
-            variant="loss", scale=TINY, values=(0.05,), campaign=first
-        )
+        backend = f"serial+cache={tmp_path}"
+        first = Campaign(backend=backend)
+        table1 = self._run(first)
         assert first.executed > 0
 
-        second = Campaign(cache=cache)
-        table2 = figure4_table(
-            variant="loss", scale=TINY, values=(0.05,), campaign=second
-        )
+        second = Campaign(backend=backend)
+        table2 = self._run(second)
         assert second.executed == 0
         assert second.cached == first.executed
         assert table1.render() == table2.render()

@@ -6,6 +6,8 @@ import os
 import pytest
 
 from repro.cli import main, make_parser
+from repro.experiments.registry import resolve_experiment
+from repro.results.schema import ResultSet
 
 
 class TestParser:
@@ -18,10 +20,14 @@ class TestParser:
             make_parser().parse_args(["figure99"])
 
     def test_scale_choices(self):
-        args = make_parser().parse_args(["figure1", "--scale", "quick"])
+        args = make_parser().parse_args(
+            ["experiments", "run", "figure1", "--scale", "quick"]
+        )
         assert args.scale == "quick"
         with pytest.raises(SystemExit):
-            make_parser().parse_args(["figure1", "--scale", "giant"])
+            make_parser().parse_args(
+                ["experiments", "run", "figure1", "--scale", "giant"]
+            )
 
 
 class TestCommands:
@@ -30,28 +36,40 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "figure1" in out
         assert "figure6" in out
+        assert "repro experiments run NAME [--backend SPEC]" in out
 
     def test_figure1(self, capsys):
-        assert main(["figure1"]) == 0
+        assert main(["experiments", "run", "figure1", "--no-store"]) == 0
         out = capsys.readouterr().out
         assert "alpha" in out
         assert "0.875" in out
 
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["experiments", "run", "table1", "--no-store"]) == 0
         out = capsys.readouterr().out
         assert "0.36" in out
 
     def test_table1_with_out(self, tmp_path, capsys):
-        assert main(["table1", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "table_1.txt").exists()
+        argv = ["experiments", "run", "table1", "--no-store", "--no-cache",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        text = (tmp_path / "table1.txt").read_text()
+        assert "0.36" in text
+        data = json.loads((tmp_path / "table1.json").read_text())
+        assert data["experiment"] == "table1"
+        assert data["x_label"] is None
 
     def test_figure1_with_out(self, tmp_path, capsys):
-        assert main(["figure1", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "figure1.json").exists()
+        argv = ["experiments", "run", "figure1", "--no-store", "--no-cache",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
         data = json.loads((tmp_path / "figure1.json").read_text())
-        assert data["experiment_id"] == "figure1"
-        assert len(data["series"]) == 3
+        # the artefact is the store's record: ResultSet.to_json()
+        result = ResultSet.from_json(data)
+        assert result.experiment == "figure1"
+        assert result.columns[1:] == ("L=0.01", "L=0.001", "L=0.0001")
+        assert result.provenance.experiment == "figure1"
+        assert (tmp_path / "figure1.txt").read_text() == result.render() + "\n"
 
     @pytest.mark.slow
     def test_demo(self, capsys):
@@ -62,31 +80,41 @@ class TestCommands:
     @pytest.mark.slow
     def test_heterogeneous_quick(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "quick")
-        assert main(["heterogeneous", "--scale", "quick"]) == 0
+        argv = ["experiments", "run", "heterogeneous", "--scale", "quick",
+                "--no-cache", "--no-store"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "heterogeneous" in out
 
 
 class TestCampaignCommand:
+    """``experiments run`` through the campaign engine: sweeps, cache, backend."""
+
     def test_parser_accepts_campaign(self):
         args = make_parser().parse_args(
-            ["campaign", "figure4a", "--workers", "4", "--scale", "quick"]
+            ["experiments", "run", "figure4a", "--backend", "process:4",
+             "--scale", "quick"]
         )
-        assert args.command == "campaign"
-        assert args.experiment == "figure4a"
-        assert args.workers == 4
+        assert args.experiments_command == "run"
+        assert args.name == "figure4a"
+        assert args.backend == "process:4"
 
-    def test_parser_rejects_analytic_experiments(self):
-        with pytest.raises(SystemExit):
-            make_parser().parse_args(["campaign", "figure1"])
+    def test_removed_spellings_are_unknown_commands(self, capsys):
+        for argv in (["campaign", "figure4a"], ["figure4a"], ["table1"]):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_sweep_key_errors(self, tmp_path, capsys):
         rc = main(
             [
-                "campaign",
+                "experiments",
+                "run",
                 "figure4a",
                 "--scale",
                 "quick",
+                "--no-store",
                 "--cache-dir",
                 str(tmp_path),
                 "--sweep",
@@ -99,8 +127,10 @@ class TestCampaignCommand:
     def test_malformed_sweep_errors(self, tmp_path, capsys):
         rc = main(
             [
-                "campaign",
+                "experiments",
+                "run",
                 "figure4a",
+                "--no-store",
                 "--cache-dir",
                 str(tmp_path),
                 "--sweep",
@@ -112,12 +142,14 @@ class TestCampaignCommand:
 
     def test_campaign_runs_and_caches(self, tmp_path, capsys):
         argv = [
-            "campaign",
+            "experiments",
+            "run",
             "figure4b",
             "--scale",
             "quick",
-            "--workers",
-            "1",
+            "--backend",
+            "serial",
+            "--no-store",
             "--cache-dir",
             str(tmp_path / "cache"),
             "--sweep",
@@ -134,9 +166,8 @@ class TestCampaignCommand:
         assert "L=0.05" in out
         assert "campaign:" in out
         first_table = out.split("campaign:")[0]
-        assert (tmp_path / "out" / "figure4b.json").exists()
         data = json.loads((tmp_path / "out" / "figure4b.json").read_text())
-        assert data["metadata"]["trials_executed"] > 0
+        assert data["provenance"]["params"]["trials"] == 2
 
         # second invocation: everything comes from the cache
         assert main(argv) == 0
@@ -147,11 +178,13 @@ class TestCampaignCommand:
     def test_out_of_range_connectivity_sweep_errors(self, capsys):
         rc = main(
             [
-                "campaign",
+                "experiments",
+                "run",
                 "figure4a",
                 "--scale",
                 "quick",
                 "--no-cache",
+                "--no-store",
                 "--sweep",
                 "connectivity=16",  # quick scale has n=16
             ]
@@ -162,11 +195,13 @@ class TestCampaignCommand:
     def test_figure6_trials_sweep_is_exact(self, capsys):
         rc = main(
             [
-                "campaign",
+                "experiments",
+                "run",
                 "figure6",
                 "--scale",
                 "quick",
                 "--no-cache",
+                "--no-store",
                 "--sweep",
                 "trials=2",
                 "--sweep",
@@ -182,23 +217,29 @@ class TestCampaignCommand:
 
     def test_bad_topology_value_errors(self, capsys):
         rc = main(
-            ["campaign", "figure6", "--no-cache", "--sweep", "topology=torus"]
+            ["experiments", "run", "figure6", "--no-cache", "--no-store",
+             "--sweep", "topology=torus"]
         )
         assert rc == 2
         assert "ring" in capsys.readouterr().err
 
     def test_workers_zero_errors(self, capsys):
-        rc = main(["campaign", "figure4a", "--no-cache", "--workers", "0"])
+        rc = main(
+            ["experiments", "run", "figure4a", "--no-cache", "--no-store",
+             "--backend", "process:0"]
+        )
         assert rc == 2
         assert "workers" in capsys.readouterr().err
 
     def test_campaign_no_cache(self, tmp_path, capsys):
         argv = [
-            "campaign",
+            "experiments",
+            "run",
             "figure4b",
             "--scale",
             "quick",
             "--no-cache",
+            "--no-store",
             "--sweep",
             "connectivity=2",
             "--sweep",
@@ -209,7 +250,30 @@ class TestCampaignCommand:
         assert main(argv) == 0
         assert "cache=off" in capsys.readouterr().out
 
+    def test_backend_cache_suffix_fills_its_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        spec_dir = tmp_path / "spec"
+        argv = ["experiments", "run", "table1", "--no-store",
+                "--backend", f"serial+cache={spec_dir}"]
+        assert main(argv) == 0
+        assert f"cache={spec_dir}" in capsys.readouterr().out
+        assert len(list(spec_dir.glob("*.json"))) == 5
+        assert not list((tmp_path / "default").glob("*.json"))
 
+    def test_backend_cache_suffix_conflicts_with_cache_flags(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        spec_dir = tmp_path / "spec"
+        backend = f"serial+cache={spec_dir}"
+        for flags in (["--no-cache"], ["--cache-dir", str(tmp_path / "x")]):
+            argv = ["experiments", "run", "table1", "--no-store",
+                    "--backend", backend] + flags
+            assert main(argv) == 2
+            assert "pass one, not both" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.json"))
 
 
 class TestVersionFlag:
@@ -286,7 +350,7 @@ class TestExperimentsCommand:
         store = str(tmp_path / "results.jsonl")
         argv = [
             "experiments", "run", "figure1",
-            "--no-cache", "--workers", "1", "--store", store,
+            "--no-cache", "--backend", "serial", "--store", store,
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -343,15 +407,13 @@ class TestExperimentsCommand:
         assert not store.exists()
         assert not store.parent.exists()
 
-    def test_run_matches_legacy_command(self, tmp_path, capsys):
-        assert main(["figure1"]) == 0
-        legacy = capsys.readouterr().out
+    def test_run_prints_the_rendered_result(self, capsys):
         assert main(
             ["experiments", "run", "figure1", "--no-cache", "--no-store"]
         ) == 0
-        registry_out = capsys.readouterr().out
-        assert registry_out.split("\ncampaign:")[0].rstrip("\n") == \
-            legacy.rstrip("\n")
+        out = capsys.readouterr().out
+        expected = resolve_experiment("figure1").run().render()
+        assert out.split("\ncampaign:")[0].rstrip("\n") == expected
 
 
 class TestResultsCommand:

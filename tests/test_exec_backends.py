@@ -3,9 +3,9 @@
 Covers the backend matrix bit-identity guarantee (serial == process ==
 shard at any shard count and steal schedule), worker-loss resume with
 zero lost trials and correct per-shard attempt provenance, the
-spec-string grammar, the deprecated ``workers=``/``cache=`` kwarg
-mapping, the streaming reorder buffer's memory cap, and the CLI
-surface (``--backend``, ``repro backends list``).
+spec-string grammar, the backend-owned trial cache, the streaming
+reorder buffer's memory cap, and the CLI surface (``--backend``,
+``repro backends list``).
 """
 
 import warnings
@@ -228,10 +228,10 @@ class TestStreaming:
         assert list(Campaign(backend=backend).run_stream(specs)) == reference
 
     def test_duplicates_and_cache_hits_stream(self, tmp_path):
-        cache = TrialCache(str(tmp_path))
+        backend = f"serial+cache={tmp_path}"
         specs = _specs(3)
-        first = Campaign(backend="serial", cache=cache).run(specs)
-        campaign = Campaign(backend="serial", cache=cache)
+        first = Campaign(backend=backend).run(specs)
+        campaign = Campaign(backend=backend)
         again = campaign.run(specs + specs[:1])
         assert again == first + first[:1]
         assert campaign.cached == 3
@@ -239,23 +239,12 @@ class TestStreaming:
 
 
 class TestCampaignBackendParam:
-    def test_workers_and_backend_conflict(self):
-        with pytest.raises(ValidationError, match="not both"):
-            Campaign(workers=2, backend="serial")
-
-    def test_workers_zero_still_rejected(self):
-        with pytest.raises(ValidationError, match="workers must be >= 1"):
-            Campaign(workers=0)
-
-    def test_workers_map_to_backends(self):
-        assert isinstance(Campaign(workers=1).backend, SerialBackend)
-        assert isinstance(Campaign(workers=3).backend, ProcessPoolBackend)
-
-    def test_cache_kwarg_wires_into_backend(self, tmp_path):
-        cache = TrialCache(str(tmp_path))
-        campaign = Campaign(backend="serial", cache=cache)
-        assert campaign.backend.cache is cache
-        assert campaign.cache is cache
+    def test_cache_lives_on_backend(self, tmp_path):
+        backend = SerialBackend()
+        backend.cache = TrialCache(str(tmp_path))
+        campaign = Campaign(backend=backend)
+        campaign.run(_specs(1))
+        assert len(backend.cache) == 1
 
     def test_execution_record_only_for_sharded_runs(self):
         serial = Campaign(backend="serial")
@@ -272,28 +261,6 @@ class TestCampaignBackendParam:
 class TestApiDeprecations:
     PARAMS = {"crash": [0.05], "connectivity": [2], "trials": [1]}
 
-    def test_workers_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="workers= is deprecated"):
-            result = api.run_experiment(
-                "figure4a", scale="quick", params=self.PARAMS, workers=1
-            )
-        assert len(result.rows) == 1
-
-    def test_cache_kwarg_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="cache= is deprecated"):
-            api.run_experiment(
-                "figure4a",
-                scale="quick",
-                params=self.PARAMS,
-                cache=str(tmp_path),
-            )
-
-    def test_backend_and_workers_conflict(self):
-        with pytest.raises(ValidationError, match="not both"):
-            api.run_experiment(
-                "figure4a", scale="quick", backend="serial", workers=2
-            )
-
     def test_backend_kwarg_does_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -307,15 +274,17 @@ class TestApiDeprecations:
             issubclass(w.category, DeprecationWarning) for w in caught
         )
 
-    def test_backend_matches_deprecated_workers(self):
-        with pytest.warns(DeprecationWarning):
-            old = api.run_experiment(
-                "figure4a", scale="quick", params=self.PARAMS, workers=1
-            )
-        new = api.run_experiment(
-            "figure4a", scale="quick", params=self.PARAMS, backend="serial"
-        )
-        assert old.rows == new.rows
+    @pytest.mark.parametrize("alias", [{"workers": 1}, {"cache": True}])
+    def test_removed_aliases_are_type_errors(self, alias):
+        # execution and cache are chosen by the backend spec alone
+        with pytest.raises(TypeError):
+            Campaign(**alias)
+        with pytest.raises(TypeError):
+            api.run_experiment("figure1", **alias)
+        with pytest.raises(TypeError):
+            api.run_scenario("partition-heal", **alias)
+        with pytest.raises(TypeError):
+            api.hunt(budget=1, **alias)
 
     def test_run_scenario_backend_instance(self):
         backend = ShardQueueBackend(workers=1, shards=2, inline=True)
@@ -391,8 +360,8 @@ class TestCli:
     def test_backend_flag(self, capsys):
         code = main(
             [
-                "campaign", "figure4a", "--scale", "quick",
-                "--backend", "serial", "--no-cache",
+                "experiments", "run", "figure4a", "--scale", "quick",
+                "--backend", "serial", "--no-cache", "--no-store",
                 "--sweep", "crash=0.05", "--sweep", "connectivity=2",
                 "--sweep", "trials=1",
             ]
@@ -400,31 +369,10 @@ class TestCli:
         assert code == 0
         assert "backend=serial" in capsys.readouterr().out
 
-    def test_workers_flag_prints_deprecation_notice(self, capsys):
-        code = main(
-            [
-                "campaign", "figure4a", "--scale", "quick",
-                "--workers", "1", "--no-cache",
-                "--sweep", "crash=0.05", "--sweep", "connectivity=2",
-                "--sweep", "trials=1",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "--workers is deprecated" in captured.err
-        assert "backend=serial" in captured.out
-
-    def test_backend_and_workers_conflict(self, capsys):
-        code = main(
-            [
-                "campaign", "figure4a",
-                "--backend", "serial", "--workers", "2",
-            ]
-        )
-        assert code == 2
-        assert "not both" in capsys.readouterr().err
-
     def test_unknown_backend_spec(self, capsys):
-        code = main(["campaign", "figure4a", "--backend", "threads"])
+        code = main(
+            ["experiments", "run", "figure4a", "--no-store",
+             "--backend", "threads"]
+        )
         assert code == 2
         assert "unknown backend" in capsys.readouterr().err

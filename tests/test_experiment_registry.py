@@ -2,10 +2,11 @@
 
 Covers spec registration/resolution/aliases, did-you-mean errors, typed
 axis params (coercion, unknown keys, single-vs-multi value axes), the
-uniform build/aggregate execution path (bit-identical to the legacy
-table builders), provenance stamping, the api surface (run_experiment /
-load_results / diff_results with a store), and plugin discovery
-(entry points + REPRO_EXPERIMENTS).
+uniform build/aggregate execution path (its rendered tables are
+pinned by the golden digests in test_determinism_golden.py),
+provenance stamping, the api surface (run_experiment / load_results /
+diff_results with a store), and plugin discovery (entry points +
+REPRO_EXPERIMENTS).
 """
 
 import sys
@@ -17,8 +18,6 @@ import repro.api as api
 from repro.errors import UnknownExperimentError, ValidationError
 from repro.experiments import registry as reg
 from repro.experiments.campaign import Campaign, TrialSpec
-from repro.experiments.figure1 import figure1_table
-from repro.experiments.figure4 import figure4_table
 from repro.experiments.registry import (
     ExperimentSpec,
     Figure4aParams,
@@ -27,11 +26,9 @@ from repro.experiments.registry import (
     experiment_names,
     register_experiment,
     resolve_experiment,
-    run_experiment,
     unregister_experiment,
 )
 from repro.experiments.runner import current_scale, scaled
-from repro.experiments.table1 import table1_render
 from repro.results.schema import SCHEMA_VERSION, ResultSet
 
 TINY = scaled(
@@ -42,6 +39,10 @@ TINY = scaled(
     calibration_trials=6,
     k_target=0.9,
 )
+
+
+def _run(experiment, **kwargs):
+    return resolve_experiment(experiment).run(**kwargs)
 
 
 @pytest.fixture
@@ -221,31 +222,14 @@ class TestParams:
 
     def test_connectivity_above_n_rejected_at_build(self):
         with pytest.raises(ValidationError, match="must be below n=10"):
-            run_experiment(
+            _run(
                 "figure4a", scale=TINY, params={"connectivity": [16]}
             )
 
 
 class TestRunExperiment:
-    def test_figure1_bit_identical_to_table_builder(self):
-        result = run_experiment("figure1")
-        assert result.render() == figure1_table().render()
-
-    def test_table1_bit_identical_to_renderer(self):
-        result = run_experiment("table1")
-        assert result.render() == table1_render()
-        assert result.x_label is None
-
-    def test_figure4a_bit_identical_to_table_builder(self):
-        params = {"crash": [0.03]}
-        result = run_experiment("figure4a", scale=TINY, params=params)
-        expected = figure4_table(
-            variant="crash", scale=TINY, values=(0.03,)
-        )
-        assert result.render() == expected.render()
-
     def test_provenance_stamped(self):
-        result = run_experiment(
+        result = _run(
             "figure1", scale=current_scale("quick"), params={"alpha": [1, 2]}
         )
         prov = result.provenance
@@ -257,25 +241,25 @@ class TestRunExperiment:
         assert prov.repro_version
 
     def test_alias_runs_canonical(self):
-        result = run_experiment("tab1")
+        result = _run("tab1")
         assert result.experiment == "table1"
+        assert result.x_label is None
 
     def test_campaign_counters_and_cache(self, tmp_path):
-        from repro.util.cache import TrialCache
-
-        campaign = Campaign(cache=TrialCache(str(tmp_path)))
-        first = run_experiment("figure1", campaign=campaign)
+        campaign = Campaign(backend=f"serial+cache={tmp_path}")
+        first = _run("figure1", campaign=campaign)
         executed = campaign.executed
         assert executed > 0
-        rerun = Campaign(cache=TrialCache(str(tmp_path)))
-        second = run_experiment("figure1", campaign=rerun)
+        rerun = Campaign(backend=f"serial+cache={tmp_path}")
+        second = _run("figure1", campaign=rerun)
         assert rerun.executed == 0
         assert rerun.cached == executed
         assert second.render() == first.render()
 
     def test_spec_run_equivalent(self):
         spec = resolve_experiment("figure1")
-        assert spec.run().render() == run_experiment("figure1").render()
+        via_api = api.run_experiment("figure1", backend="serial")
+        assert spec.run().render() == via_api.render()
 
 
 class TestApiSurface:
@@ -392,7 +376,7 @@ class TestPluginDiscovery:
         registered = discover_plugins(force=True)
         assert "dummy-exp" in registered
         assert resolve_experiment("dexp").name == "dummy-exp"
-        result = run_experiment("dummy-exp")
+        result = _run("dummy-exp")
         assert result.rows[0].get("v") == 42.0
         assert result.provenance.artefact == "Plugin Figure"
 
@@ -436,14 +420,15 @@ class TestPluginDiscovery:
 class TestCliIntegration:
     def test_reserved_name_plugin_does_not_break_parser(self, clean_registry):
         # a plugin experiment named like a fixed subcommand must not
-        # crash make_parser; it stays reachable via 'experiments run'
+        # crash make_parser; it is reachable via 'experiments run'
         from repro.cli import make_parser
 
-        register_experiment(_dummy_spec(name="campaign"))
+        register_experiment(_dummy_spec(name="list"))
         parser = make_parser()
-        args = parser.parse_args(["campaign", "figure4a", "--no-cache"])
-        assert args.command == "campaign"  # the fixed subcommand won
-        assert resolve_experiment("campaign").description == "test experiment"
+        assert parser.parse_args(["list"]).command == "list"
+        args = parser.parse_args(["experiments", "run", "list", "--no-cache"])
+        assert args.name == "list"
+        assert resolve_experiment("list").description == "test experiment"
 
     def test_unwritable_store_path_fails_before_running(self, tmp_path,
                                                         capsys):
@@ -481,7 +466,7 @@ class TestExperimentContext:
                 ),
             )
         )
-        run_experiment("ctx-exp", scale=TINY)
+        _run("ctx-exp", scale=TINY)
         assert seen["params"] == Figure4aParams()
         assert seen["scale"] is TINY
 
@@ -508,5 +493,5 @@ class TestExperimentContext:
             )
         )
         campaign = Campaign()
-        run_experiment("pre-exp", campaign=campaign)
+        _run("pre-exp", campaign=campaign)
         assert campaign.executed == 1

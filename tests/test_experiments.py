@@ -1,4 +1,4 @@
-"""Tests for the experiment harness (scales, runner, figure modules).
+"""Tests for the experiment harness (scales, figure modules, registry runs).
 
 Heavy experiments run at a tiny scale here — the full regeneration lives
 in benchmarks/.
@@ -9,25 +9,24 @@ import math
 import pytest
 
 from repro.errors import ValidationError
-from repro.experiments.figure1 import expected_anchor_points, figure1_table
-from repro.experiments.figure4 import figure4_point, figure4_table, optimal_messages
+from repro.experiments.campaign import Campaign
+from repro.experiments.figure1 import expected_anchor_points
+from repro.experiments.figure4 import figure4_build, figure4_point, optimal_messages
 from repro.experiments.figure5 import convergence_messages_per_link, figure5_point
 from repro.experiments.figure6 import figure6_point
-from repro.experiments.report import ExperimentRecord, ReportWriter
+from repro.experiments.registry import resolve_experiment
 from repro.experiments.runner import (
     DEFAULT,
     FULL,
     QUICK,
     SCALE_ENV,
-    TrialRunner,
     current_scale,
     make_network,
     scaled,
 )
-from repro.experiments.table1 import PAPER_AFTER_SUSPICION, table1_render, table1_rows
+from repro.experiments.table1 import PAPER_AFTER_SUSPICION
 from repro.topology.configuration import Configuration
 from repro.topology.generators import k_regular, ring
-from repro.util.tables import Series, SeriesTable
 
 TINY = scaled(
     QUICK,
@@ -66,27 +65,6 @@ class TestScales:
         assert derived.k_target == QUICK.k_target
 
 
-class TestTrialRunner:
-    def test_aggregates(self):
-        runner = TrialRunner("seed")
-        stats = runner.run(lambda stream: stream.random(), trials=10)
-        assert stats.count == 10
-        assert 0.0 <= stats.mean <= 1.0
-
-    def test_deterministic(self):
-        a = TrialRunner("x").run(lambda s: s.random(), 5).mean
-        b = TrialRunner("x").run(lambda s: s.random(), 5).mean
-        assert a == b
-
-    def test_run_many(self):
-        runner = TrialRunner("seed")
-        stats = runner.run_many(
-            lambda s: {"a": s.random(), "b": 2.0}, trials=4
-        )
-        assert stats["a"].count == 4
-        assert stats["b"].mean == 2.0
-
-
 class TestMakeNetwork:
     def test_deterministic_network(self):
         g = ring(5)
@@ -98,31 +76,39 @@ class TestMakeNetwork:
         assert n1.stats.snapshot() == n2.stats.snapshot()
 
 
+def _run(name, **kwargs):
+    return resolve_experiment(name).run(**kwargs)
+
+
 class TestFigure1:
     def test_table_shape(self):
-        table = figure1_table()
-        assert len(table.series) == 3
-        assert len(table.x_values()) == 10
+        result = _run("figure1")
+        assert len(result.columns) == 1 + 3  # alpha + one curve per L
+        assert len(result.rows) == 10
 
     def test_anchor_points(self):
         anchors = expected_anchor_points()
-        table = figure1_table()
-        for series in table.series:
-            assert series.ys[0] == pytest.approx(1.0)  # alpha = 1
-        l4 = next(s for s in table.series if s.name == "L=0.0001")
-        assert l4.as_dict()[10.0] == pytest.approx(
+        result = _run("figure1")
+        for name in result.columns[1:]:
+            assert result.column(name)[0] == pytest.approx(1.0)  # alpha = 1
+        alphas = result.column("alpha")
+        l4 = dict(zip(alphas, result.column("L=0.0001")))
+        assert l4[10.0] == pytest.approx(
             anchors[("alpha=10", "L=1e-4")], abs=1e-3
         )
 
 
 class TestTable1:
     def test_rows_match_paper(self):
-        rows = table1_rows()
-        assert [round(r[3], 2) for r in rows] == list(PAPER_AFTER_SUSPICION)
-        assert all(r[2] == pytest.approx(0.2) for r in rows)
+        result = _run("table1")
+        after = result.column("P_B after suspicion")
+        assert [round(v, 2) for v in after] == list(PAPER_AFTER_SUSPICION)
+        assert all(
+            v == pytest.approx(0.2) for v in result.column("P_B initial")
+        )
 
     def test_render_contains_intervals(self):
-        text = table1_render()
+        text = _run("table1").render()
         assert "[0.0, 0.2)" in text
         assert "0.36" in text
 
@@ -140,11 +126,11 @@ class TestFigure4:
         assert optimal_messages(g, c, 0.999) >= optimal_messages(g, c, 0.9)
 
     def test_table_variants(self):
-        table = figure4_table(variant="loss", scale=TINY, values=(0.05,))
-        assert table.series[0].name == "L=0.05"
-        assert len(table.series[0].xs) == 2
+        result = _run("figure4b", scale=TINY, params={"loss": [0.05]})
+        assert result.columns[1:] == ("L=0.05",)
+        assert len(result.rows) == 2
         with pytest.raises(ValueError):
-            figure4_table(variant="nope", scale=TINY)
+            figure4_build("nope", TINY, Campaign())
 
 
 class TestFigure5:
@@ -186,21 +172,3 @@ class TestFigure6:
         assert tree_point["messages_per_link"] > 0
         with pytest.raises(ValueError):
             figure6_point("torus", 10, TINY, trials=1)
-
-
-class TestReport:
-    def test_writer_outputs(self, tmp_path):
-        table = SeriesTable(title="T", x_label="x")
-        s = Series("a")
-        s.add(1, 2.0)
-        table.add_series(s)
-        record = ExperimentRecord(
-            experiment_id="Fig X", description="demo", scale="quick", table=table
-        )
-        writer = ReportWriter(str(tmp_path))
-        writer.add(record)
-        assert (tmp_path / "fig_x.txt").exists()
-        assert (tmp_path / "fig_x.json").exists()
-        combined = writer.render_all()
-        assert "Fig X" in combined
-        assert "demo" in combined

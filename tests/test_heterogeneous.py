@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.heterogeneous import heterogeneity_point, heterogeneity_table
+from repro.experiments.heterogeneous import heterogeneity_point
+from repro.experiments.registry import resolve_experiment
 from repro.experiments.runner import QUICK, scaled
 
 TINY = scaled(
@@ -43,9 +44,11 @@ class TestHeterogeneityPoint:
 
 class TestHeterogeneityTable:
     def test_table_structure(self):
-        table = heterogeneity_table(scale=TINY, mean_loss=0.05)
-        assert [s.name for s in table.series] == [
+        result = resolve_experiment("heterogeneous").run(
+            scale=TINY, params={"loss": 0.05}
+        )
+        assert result.columns[1:] == (
             "ratio (uniform L)",
             "ratio (heterogeneous L)",
-        ]
-        assert table.x_values() == [4.0]
+        )
+        assert result.column(result.columns[0]) == [4.0]

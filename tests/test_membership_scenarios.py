@@ -5,7 +5,7 @@ The ISSUE 7 acceptance criteria, pinned as tests:
 * all three ``*-pv`` protocols resolve through the registry and run every
   built-in scenario at quick scale;
 * membership trials are bit-identical across serial and parallel
-  campaign execution (``workers=1`` vs ``workers=4``);
+  campaign execution (``--backend serial`` vs ``process:4``);
 * the ``membership`` experiment appends view-quality rows to the
   ResultStore with full provenance;
 * a ``churn-storm`` soak with 2,000 processes and 500 join/leave events
@@ -139,13 +139,13 @@ def _membership_specs(trials=2):
 class TestCampaignDeterminism:
     def test_serial_and_parallel_runs_are_bit_identical(self):
         specs = _membership_specs()
-        serial = Campaign(workers=1).run(specs)
-        parallel = Campaign(workers=4).run(specs)
+        serial = Campaign(backend="serial").run(specs)
+        parallel = Campaign(backend="process:4").run(specs)
         assert serial == parallel
 
     def test_reruns_are_bit_identical(self):
         specs = _membership_specs()
-        assert Campaign(workers=1).run(specs) == Campaign(workers=1).run(specs)
+        assert Campaign().run(specs) == Campaign().run(specs)
 
 
 class TestMembershipExperiment:
@@ -158,7 +158,7 @@ class TestMembershipExperiment:
                 "view_size": [8],
                 "trials": 2,
             },
-            campaign=Campaign(workers=1, cache=None),
+            campaign=Campaign(),
         )
         assert result.columns == (
             "scenario",
@@ -192,7 +192,7 @@ class TestMembershipExperiment:
             resolve_experiment("membership").run(
                 scale=current_scale("quick"),
                 params={"policy": ["head:rnd:pushpull"], "trials": 1},
-                campaign=Campaign(workers=1, cache=None),
+                campaign=Campaign(),
             )
 
 

@@ -497,21 +497,19 @@ class TestScenarioCampaign:
         )
         serial = scenario_report("rolling-restart", campaign=Campaign(), **kwargs)
         parallel = scenario_report(
-            "rolling-restart", campaign=Campaign(workers=2), **kwargs
+            "rolling-restart", campaign=Campaign(backend="process:2"), **kwargs
         )
         assert parallel.render() == serial.render()
         assert parallel.to_json() == serial.to_json()
 
     def test_cache_resume_executes_nothing(self, tmp_path):
-        from repro.util.cache import TrialCache
-
         kwargs = dict(
             protocols=("optimal", "flooding"), scale=QUICK, trials=2
         )
-        first = Campaign(cache=TrialCache(str(tmp_path)))
+        first = Campaign(backend=f"serial+cache={tmp_path}")
         scenario_report("churn-mill", campaign=first, **kwargs)
         assert first.executed > 0
-        second = Campaign(cache=TrialCache(str(tmp_path)))
+        second = Campaign(backend=f"serial+cache={tmp_path}")
         report = scenario_report("churn-mill", campaign=second, **kwargs)
         assert second.executed == 0
         assert second.cached == first.executed
@@ -606,7 +604,7 @@ class TestScenarioCli:
             [
                 "scenario", "run", "flash-crowd",
                 "--scale", "quick",
-                "--workers", "1",
+                "--backend", "serial",
                 "--no-cache",
                 "--protocols", "optimal,gossip,flooding",
                 "--sweep", "trials=1",
@@ -795,11 +793,11 @@ class TestAdversarialUnits:
 
         serial = hunt(
             seed="unit", budget=3, scale=QUICK, top=2, trials=1,
-            shrink=False, campaign=Campaign(workers=1, cache=None),
+            shrink=False, campaign=Campaign(),
         )
         parallel = hunt(
             seed="unit", budget=3, scale=QUICK, top=2, trials=1,
-            shrink=False, campaign=Campaign(workers=2, cache=None),
+            shrink=False, campaign=Campaign(backend="process:2"),
         )
         assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
             parallel.to_json(), sort_keys=True
@@ -814,7 +812,7 @@ class TestAdversarialUnits:
 
         result = hunt(
             seed="unit2", budget=2, scale=QUICK, top=1, trials=1,
-            shrink=False, campaign=Campaign(workers=1, cache=None),
+            shrink=False, campaign=Campaign(),
         )
         payload = json.dumps(result.to_json())
         parsed = parse_hunt_json(payload)
