@@ -14,11 +14,10 @@ persists them as JSONL), export to CSV, and diff cell-by-cell with a
 numeric tolerance — which is what makes run-to-run regression checks
 (``repro results diff``) possible at all.
 
-Rendering stays bit-compatible with the legacy experiment output:
-:meth:`ResultSet.render` feeds the same columns and rows to
-:func:`repro.util.tables.render_table` that the pre-registry experiment
-modules used, so a stored result prints exactly the table the paper
-reproduction always printed.
+:meth:`ResultSet.render` feeds the columns and rows to
+:func:`repro.util.tables.render_table`, so a stored result prints
+exactly the table ``repro experiments run`` printed (the golden digests
+in ``tests/test_determinism_golden.py`` pin those tables).
 """
 
 from __future__ import annotations
@@ -307,7 +306,7 @@ class ResultSet:
 
         The row grid is built exactly the way ``SeriesTable.render``
         builds its rows (sorted x, None gaps), so rendering the result
-        set reproduces the legacy table text bit-for-bit.
+        set reproduces ``table.render()`` bit-for-bit.
         """
         columns = [table.x_label] + [s.name for s in table.series]
         lookup = [s.as_dict() for s in table.series]
@@ -355,7 +354,7 @@ class ResultSet:
         return [row.get(name) for row in self.rows]
 
     def render(self, precision: int = 4) -> str:
-        """The ASCII table — identical to the legacy experiment output."""
+        """The ASCII table ``repro experiments run`` prints."""
         return render_table(
             list(self.columns),
             [list(row.values()) for row in self.rows],
